@@ -96,15 +96,17 @@ pub struct CandidateIndex {
 }
 
 impl CandidateIndex {
-    /// Builds the index over relation `rel` of `right`.
-    pub fn build(right: &Instance, rel: RelId) -> Self {
+    /// Builds the index over the tuples of relation `rel` of `right` whose
+    /// id satisfies `keep` (pass `|_| true` for all of them). Candidate
+    /// queries then return only kept tuples.
+    pub fn build(right: &Instance, rel: RelId, keep: impl Fn(TupleId) -> bool) -> Self {
         let tuples = right.tuples(rel);
         let arity = tuples.first().map_or(0, Tuple::arity);
         let mut by_const: Vec<FxHashMap<Sym, Vec<TupleId>>> =
             (0..arity).map(|_| FxHashMap::default()).collect();
         let mut null_bucket: Vec<Vec<TupleId>> = vec![Vec::new(); arity];
         let mut all = Vec::with_capacity(tuples.len());
-        for t in tuples {
+        for t in tuples.iter().filter(|t| keep(t.id())) {
             all.push(t.id());
             for (i, &v) in t.values().iter().enumerate() {
                 match v {
@@ -197,7 +199,7 @@ pub fn compatible_tuples(
     right: &Instance,
     rel: RelId,
 ) -> FxHashMap<TupleId, Vec<TupleId>> {
-    let index = CandidateIndex::build(right, rel);
+    let index = CandidateIndex::build(right, rel, |_| true);
     left.tuples(rel)
         .iter()
         .map(|t| (t.id(), index.compatible_candidates(right, t)))
@@ -311,7 +313,7 @@ mod tests {
         let r1 = r.insert(rel, vec![a, b, c]); // exact
         let r2 = r.insert(rel, vec![a, n, c]); // null fills
         let _r3 = r.insert(rel, vec![x, b, c]); // conflicting constant
-        let idx = CandidateIndex::build(&r, rel);
+        let idx = CandidateIndex::build(&r, rel, |_| true);
         let mut cands = idx.compatible_candidates(&r, l.tuple(t).unwrap());
         cands.sort();
         assert_eq!(cands, vec![r1, r2]);
@@ -328,7 +330,7 @@ mod tests {
         let mut r = Instance::new("J", &cat);
         r.insert(rel, vec![a]);
         r.insert(rel, vec![n]);
-        let idx = CandidateIndex::build(&r, rel);
+        let idx = CandidateIndex::build(&r, rel, |_| true);
         assert_eq!(idx.compatible_candidates(&r, l.tuple(t).unwrap()).len(), 2);
     }
 
@@ -351,7 +353,7 @@ mod tests {
     fn empty_relation_index() {
         let cat = Catalog::new(Schema::single("R", &["A"]));
         let r = Instance::new("J", &cat);
-        let idx = CandidateIndex::build(&r, RelId(0));
+        let idx = CandidateIndex::build(&r, RelId(0), |_| true);
         let mut cat2 = Catalog::new(Schema::single("R", &["A"]));
         let a = cat2.konst("a");
         let mut l = Instance::new("I", &cat2);
@@ -383,7 +385,7 @@ mod overlap_tests {
         let shares_a = r.insert(rel, vec![a, y]); // conflicting B, shared A
         let _nothing = r.insert(rel, vec![x, y]); // nothing shared
         let shares_b = r.insert(rel, vec![x, b]);
-        let idx = CandidateIndex::build(&r, rel);
+        let idx = CandidateIndex::build(&r, rel, |_| true);
         let mut c = idx.overlap_candidates(l.tuple(t).unwrap());
         c.sort();
         assert_eq!(c, vec![shares_a, shares_b]);
@@ -399,7 +401,7 @@ mod overlap_tests {
         let t = l.insert(rel, vec![n]);
         let mut r = Instance::new("J", &cat);
         r.insert(rel, vec![a]);
-        let idx = CandidateIndex::build(&r, rel);
+        let idx = CandidateIndex::build(&r, rel, |_| true);
         assert_eq!(idx.overlap_candidates(l.tuple(t).unwrap()).len(), 1);
     }
 
@@ -413,7 +415,7 @@ mod overlap_tests {
         let t = l.insert(rel, vec![a, z]);
         let mut r = Instance::new("J", &cat);
         r.insert(rel, vec![w, a]); // a in the wrong column
-        let idx = CandidateIndex::build(&r, rel);
+        let idx = CandidateIndex::build(&r, rel, |_| true);
         assert!(idx.overlap_candidates(l.tuple(t).unwrap()).is_empty());
     }
 }

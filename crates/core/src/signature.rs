@@ -125,11 +125,12 @@ fn ground_mask(t: &Tuple) -> u128 {
     mask
 }
 
-/// The signature key of `t` on the attribute set `mask`: its constants at
-/// the mask positions in ascending attribute order (Def. 6.2's
-/// lexicographic-order requirement is met by the fixed positional order).
-fn signature_key(t: &Tuple, mask: u128) -> Box<[Sym]> {
-    let mut key = Vec::with_capacity(mask.count_ones() as usize);
+/// Writes the signature key of `t` on the attribute set `mask` into `key`
+/// (cleared first): its constants at the mask positions in ascending
+/// attribute order (Def. 6.2's lexicographic-order requirement is met by
+/// the fixed positional order).
+fn fill_signature_key(t: &Tuple, mask: u128, key: &mut Vec<Sym>) {
+    key.clear();
     let mut m = mask;
     while m != 0 {
         let i = m.trailing_zeros() as usize;
@@ -139,6 +140,12 @@ fn signature_key(t: &Tuple, mask: u128) -> Box<[Sym]> {
         }
         m &= m - 1;
     }
+}
+
+/// The signature key of `t` on `mask` as an owned map key.
+fn signature_key(t: &Tuple, mask: u128) -> Box<[Sym]> {
+    let mut key = Vec::with_capacity(mask.count_ones() as usize);
+    fill_signature_key(t, mask, &mut key);
     key.into_boxed_slice()
 }
 
@@ -603,6 +610,33 @@ impl Run<'_> {
         crate::obs::counter("sig.sigmap.buckets", sigmap.buckets.len() as u64);
         let _span = crate::obs::span("signature.probe");
         let cfg = self.cfg;
+        let mode = cfg.mode;
+        let (sig_flags, probe_flags) = match sig_side {
+            Side::Left => (&self.left_matched, &self.right_matched),
+            Side::Right => (&self.right_matched, &self.left_matched),
+        };
+        // Injectivity of each side. A matched tuple of an injective side is
+        // dead for the rest of the run: matched flags only go false → true
+        // and `try_match` rejects it, so it leaves candidate generation
+        // here instead of being skipped after the fact.
+        let (sig_injective, probe_injective) = match sig_side {
+            Side::Left => (mode.left_injective, mode.right_injective),
+            Side::Right => (mode.right_injective, mode.left_injective),
+        };
+        let probes: Vec<&Tuple> = probe_tuples
+            .iter()
+            .filter(|t| !(probe_injective && probe_flags[t.id().0 as usize]))
+            .collect();
+        let live_sig = |id: &&TupleId| !(sig_injective && sig_flags[id.0 as usize]);
+        // Nearly every lookup misses. A bucket's keys start with the value
+        // at the lowest attribute of its mask, so checking the probe's value
+        // there against the bucket's first values rejects most misses before
+        // the full key is built and hashed.
+        let firsts: Vec<FxHashSet<Sym>> = sigmap
+            .buckets
+            .iter()
+            .map(|(_, keyed)| keyed.keys().filter_map(|k| k.first().copied()).collect())
+            .collect();
         // Budget check inside the parallel discovery: the closures never
         // touch `self`, so expiry is latched through a shared flag and
         // folded into `timed_out` after the fan-out. Remaining probes
@@ -610,7 +644,7 @@ impl Run<'_> {
         let deadline = self.deadline;
         let expired = AtomicBool::new(false);
         let plans: Vec<(TupleId, Vec<TupleId>)> =
-            ic_pool::par_map_min_chunk(probe_tuples, PAR_CANDIDATES_MIN_TUPLES, |t| {
+            ic_pool::par_map_min_chunk(&probes, PAR_CANDIDATES_MIN_TUPLES, |&t| {
                 if deadline.is_some() {
                     if expired.load(Ordering::Relaxed) {
                         return (t.id(), Vec::new());
@@ -621,28 +655,38 @@ impl Run<'_> {
                     }
                 }
                 let probe_mask = ground_mask(t);
-                // Masks to probe, largest first. The default enumerates only
+                let mut key = Vec::new();
+                let mut cands = Vec::new();
+                let mut probe_bucket = |bi: usize| {
+                    let (mask, keyed) = &sigmap.buckets[bi];
+                    if *mask != 0 {
+                        let Value::Const(first) = t.values()[mask.trailing_zeros() as usize] else {
+                            unreachable!("mask must select constant positions");
+                        };
+                        if !firsts[bi].contains(&first) {
+                            return;
+                        }
+                    }
+                    fill_signature_key(t, *mask, &mut key);
+                    if let Some(hits) = keyed.get(key.as_slice()) {
+                        cands.extend(hits.iter().filter(live_sig));
+                    }
+                };
+                // Masks to probe, largest first. The default visits only
                 // the attribute sets present in the map; the ablation variant
                 // enumerates every subset of the probe's ground attributes
-                // and filters to those present (identical hits, more work).
-                let bucket_order: Vec<usize> = if cfg.literal_subset_enumeration {
-                    subsets_desc(probe_mask, cfg.max_signatures_per_tuple)
-                        .into_iter()
-                        .filter_map(|m| sigmap.by_mask.get(&m).copied())
-                        .collect()
+                // and looks each up (identical hits, more work).
+                if cfg.literal_subset_enumeration {
+                    for m in subsets_desc(probe_mask, cfg.max_signatures_per_tuple) {
+                        if let Some(&bi) = sigmap.by_mask.get(&m) {
+                            probe_bucket(bi);
+                        }
+                    }
                 } else {
-                    (0..sigmap.buckets.len())
-                        .filter(|&bi| {
-                            let mask = sigmap.buckets[bi].0;
-                            mask & probe_mask == mask
-                        })
-                        .collect()
-                };
-                let mut cands = Vec::new();
-                for bi in bucket_order {
-                    let (mask, keyed) = &sigmap.buckets[bi];
-                    if let Some(hits) = keyed.get(&signature_key(t, *mask)) {
-                        cands.extend_from_slice(hits);
+                    for (bi, (mask, _)) in sigmap.buckets.iter().enumerate() {
+                        if mask & probe_mask == *mask {
+                            probe_bucket(bi);
+                        }
                     }
                 }
                 (t.id(), cands)
@@ -655,24 +699,13 @@ impl Run<'_> {
             );
         }
 
-        let mode = self.cfg.mode;
-        // Injectivity of the probe side: skip fully matched probes.
-        let probe_injective = match sig_side {
-            Side::Left => mode.right_injective,
-            Side::Right => mode.left_injective,
-        };
         let mut found = 0usize;
         let mut consumed = 0u64;
         'probes: for (probe_id, cands) in plans {
+            // Each probe id occurs once and only its own iteration can
+            // match it, so a probe pruned as live above is still live here.
             if self.out_of_budget() {
                 break;
-            }
-            let probe_matched = match sig_side {
-                Side::Left => self.right_matched[probe_id.0 as usize],
-                Side::Right => self.left_matched[probe_id.0 as usize],
-            };
-            if probe_injective && probe_matched {
-                continue;
             }
             for (k, cand) in cands.into_iter().enumerate() {
                 // Deadline re-check inside the consumption loop, so a
@@ -714,8 +747,21 @@ impl Run<'_> {
         let _span = crate::obs::span("signature.complete");
         let mode = self.cfg.mode;
         let right = self.state.right();
-        let index = CandidateIndex::build(right, rel);
-        let left_tuples = self.state.left().tuples(rel);
+        // Under injectivity, matched tuples are dead (see the probe pass):
+        // the index covers only unmatched right tuples and only unmatched
+        // left tuples fan out.
+        let right_matched = &self.right_matched;
+        let index = CandidateIndex::build(right, rel, |id| {
+            !(mode.right_injective && right_matched[id.0 as usize])
+        });
+        let left_matched = &self.left_matched;
+        let left_tuples: Vec<&Tuple> = self
+            .state
+            .left()
+            .tuples(rel)
+            .iter()
+            .filter(|t| !(mode.left_injective && left_matched[t.id().0 as usize]))
+            .collect();
         let partial = self.cfg.partial;
         let lambda = self.cfg.score.lambda;
         // Same shared-flag budget latch as the probe discovery: the ranking
@@ -725,7 +771,7 @@ impl Run<'_> {
         let expired = AtomicBool::new(false);
         let priors = self.priors;
         let plans: Vec<(TupleId, Vec<TupleId>)> =
-            ic_pool::par_map_min_chunk(left_tuples, PAR_CANDIDATES_MIN_TUPLES, |t| {
+            ic_pool::par_map_min_chunk(&left_tuples, PAR_CANDIDATES_MIN_TUPLES, |&t| {
                 if deadline.is_some() {
                     if expired.load(Ordering::Relaxed) {
                         return (t.id(), Vec::new());
@@ -790,11 +836,9 @@ impl Run<'_> {
         let mut found = 0usize;
         let mut consumed = 0u64;
         'left: for (lt, cands) in plans {
+            // As in the probe pass, only this iteration can match `lt`.
             if self.out_of_budget() {
                 break;
-            }
-            if mode.left_injective && self.left_matched[lt.0 as usize] {
-                continue;
             }
             for (k, rt) in cands.into_iter().enumerate() {
                 // Budget fix: the completion loop used to run to the end of
@@ -1103,6 +1147,20 @@ mod tests {
     }
 
     #[test]
+    fn all_null_tuples_match_in_signature_pass() {
+        // The empty signature (mask 0) has no first value to pre-check.
+        let mut cat = Catalog::new(Schema::single("R", &["A", "B"]));
+        let rel = RelId(0);
+        let mut l = Instance::new("I", &cat);
+        l.insert(rel, vec![cat.fresh_null(), cat.fresh_null()]);
+        let mut r = Instance::new("J", &cat);
+        r.insert(rel, vec![cat.fresh_null(), cat.fresh_null()]);
+        let out = signature_match(&l, &r, &cat, &SignatureConfig::default());
+        assert_eq!(out.stats.sig_matches, 1);
+        assert!((out.best.score() - 1.0).abs() < EPS);
+    }
+
+    #[test]
     fn one_to_one_respects_injectivity() {
         let mut cat = Catalog::new(Schema::single("R", &["A"]));
         let rel = RelId(0);
@@ -1268,6 +1326,49 @@ mod tests {
         assert_eq!(out.best.pairs.len(), 0);
         // The partial result is still scored and internally consistent.
         assert!(out.best.score() >= 0.0);
+    }
+
+    /// Under injective modes a matched tuple leaves candidate generation:
+    /// neither the second signature pass nor the completion lists it.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn matched_tuples_generate_no_candidates() {
+        let mut cat = Catalog::new(Schema::single("R", &["A", "B"]));
+        let rel = RelId(0);
+        let [a, b, c, d, e, f] = ["a", "b", "c", "d", "e", "f"].map(|s| cat.konst(s));
+        let (n, m) = (cat.fresh_null(), cat.fresh_null());
+        let mut l = Instance::new("I", &cat);
+        l.insert(rel, vec![a, b]);
+        l.insert(rel, vec![n, c]); // completion only
+        l.insert(rel, vec![d, e]);
+        let mut r = Instance::new("J", &cat);
+        r.insert(rel, vec![a, b]);
+        r.insert(rel, vec![f, m]); // completion only
+        r.insert(rel, vec![d, e]);
+        let counts = |mode: MatchMode| {
+            let sink = std::sync::Arc::new(crate::obs::MemorySink::new());
+            let out = {
+                let _obs = crate::obs::observe("live-only", sink.clone());
+                let cfg = SignatureConfig {
+                    mode,
+                    ..Default::default()
+                };
+                signature_match(&l, &r, &cat, &cfg)
+            };
+            assert_eq!(out.best.pairs.len(), 3);
+            let report = sink.last().unwrap();
+            (
+                report.counter("sig.probe.candidates_found"),
+                report.counter("sig.complete.candidates_found"),
+            )
+        };
+        // One-to-one: the first pass finds (a,b) and (d,e) and matches
+        // both. The second pass probes only the unmatched (N,c), which hits
+        // nothing; the completion ranks (N,c) against (f,M) alone.
+        assert_eq!(counts(MatchMode::one_to_one()), (Some(2), Some(1)));
+        // Without injectivity nothing is dead: the second pass finds both
+        // pairs again and the completion lists every compatible pair.
+        assert_eq!(counts(MatchMode::general()), (Some(4), Some(3)));
     }
 
     #[test]

@@ -208,24 +208,17 @@ impl<'a> MatchState<'a> {
     /// its class constant if the class has one, otherwise to a canonical
     /// fresh null identified by the class root.
     pub fn value_mapping(&self, side: Side) -> ValueMapping {
+        // The universe lists each side's distinct values in first-occurrence
+        // order, so the map receives the same insertions in the same order
+        // as a walk over every cell would produce.
         let mut out = ValueMapping::default();
-        let inst = match side {
-            Side::Left => self.left,
-            Side::Right => self.right,
-        };
-        for (_, t) in inst.iter_all() {
-            for &v in t.values() {
-                if out.contains_key(&v) {
-                    continue;
-                }
-                let node = self.universe.node(side, v);
-                let root = self.uf.find(node);
-                let image = match self.uf.class_const(root) {
-                    Some(sym) => Mapped::Const(sym),
-                    None => Mapped::CanonNull(root),
-                };
-                out.insert(v, image);
-            }
+        for &(v, node) in self.universe.values(side) {
+            let root = self.uf.find(node);
+            let image = match self.uf.class_const(root) {
+                Some(sym) => Mapped::Const(sym),
+                None => Mapped::CanonNull(root),
+            };
+            out.insert(v, image);
         }
         out
     }
@@ -368,6 +361,92 @@ mod tests {
         // Constant a maps to itself.
         let a = cat.konst("a");
         assert_eq!(lmap.get(&a), Some(&Mapped::Const(a.as_const().unwrap())));
+    }
+
+    /// Reference value mapping: one universe lookup per cell in `iter_all`
+    /// order, skipping values already mapped.
+    fn per_cell_oracle(st: &MatchState<'_>, side: Side) -> ValueMapping {
+        let mut out = ValueMapping::default();
+        let inst = match side {
+            Side::Left => st.left(),
+            Side::Right => st.right(),
+        };
+        for (_, t) in inst.iter_all() {
+            for &v in t.values() {
+                if out.contains_key(&v) {
+                    continue;
+                }
+                let root = st.uf().find(st.universe().node(side, v));
+                let image = match st.uf().class_const(root) {
+                    Some(sym) => Mapped::Const(sym),
+                    None => Mapped::CanonNull(root),
+                };
+                out.insert(v, image);
+            }
+        }
+        out
+    }
+
+    /// Equal contents and equal iteration order.
+    fn assert_matches_oracle(st: &MatchState<'_>) {
+        for side in [Side::Left, Side::Right] {
+            let got = st.value_mapping(side);
+            let want = per_cell_oracle(st, side);
+            assert_eq!(
+                got.iter().collect::<Vec<_>>(),
+                want.iter().collect::<Vec<_>>(),
+                "{side:?} mapping"
+            );
+        }
+    }
+
+    #[test]
+    fn value_mapping_matches_per_cell_oracle() {
+        // `c` and `d` occur only on the right; `a` and `b` occur on both
+        // sides but first on the left, yet the right mapping must list them
+        // where the right instance first uses them.
+        let mut cat = Catalog::new(Schema::single("R", &["A", "B"]));
+        let rel = cat.schema().rel("R").unwrap();
+        let (a, b, c, d) = (
+            cat.konst("a"),
+            cat.konst("b"),
+            cat.konst("c"),
+            cat.konst("d"),
+        );
+        let (n1, n2, m1) = (cat.fresh_null(), cat.fresh_null(), cat.fresh_null());
+        let mut l = Instance::new("I", &cat);
+        let t0 = l.insert(rel, vec![a, n1]);
+        l.insert(rel, vec![n2, b]);
+        l.insert(rel, vec![n1, a]);
+        let mut r = Instance::new("J", &cat);
+        r.insert(rel, vec![c, a]);
+        let u1 = r.insert(rel, vec![a, m1]);
+        r.insert(rel, vec![b, d]);
+        r.insert(rel, vec![m1, c]);
+        let mut st = MatchState::new(&l, &r);
+        assert_matches_oracle(&st);
+        st.try_push_pair(rel, t0, u1, false).unwrap();
+        assert_matches_oracle(&st);
+    }
+
+    #[test]
+    fn value_mapping_matches_per_cell_oracle_on_generated_matches() {
+        use ic_datagen::{add_random_and_redundant, mod_cell, Dataset};
+        for sc in [
+            mod_cell(Dataset::Doctors, 300, 0.05, 11),
+            add_random_and_redundant(Dataset::Doctors, 200, 0.05, 0.1, 0.1, 12),
+        ] {
+            for (left, right) in [(&sc.source, &sc.target), (&sc.target, &sc.source)] {
+                let cfg = crate::SignatureConfig::default();
+                let out = crate::signature_match(left, right, &sc.catalog, &cfg);
+                let mut st = MatchState::new(left, right);
+                for p in &out.best.pairs {
+                    st.try_push_pair(p.rel, p.left, p.right, false).unwrap();
+                }
+                assert!(!st.is_empty());
+                assert_matches_oracle(&st);
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! implicit renaming the paper allows).
 
 use ic_model::{FxHashMap, Instance, NullId, Sym, Value};
+use std::collections::hash_map::Entry;
 
 /// Which of the two compared instances a value/tuple belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,6 +68,10 @@ pub struct Universe {
     left_nulls: FxHashMap<NullId, NodeId>,
     right_nulls: FxHashMap<NullId, NodeId>,
     kinds: Vec<NodeKind>,
+    /// Each side's distinct values with their node, in first-occurrence
+    /// order of the instance's `iter_all` walk.
+    left_values: Vec<(Value, NodeId)>,
+    right_values: Vec<(Value, NodeId)>,
 }
 
 impl Universe {
@@ -87,7 +92,7 @@ impl Universe {
     }
 
     fn add(&mut self, side: Side, v: Value) {
-        match v {
+        let first_on_side = match v {
             Value::Const(sym) => {
                 let id = *self.consts.entry(sym).or_insert_with(|| {
                     let id = self.kinds.len() as NodeId;
@@ -98,27 +103,49 @@ impl Universe {
                     });
                     id
                 });
-                if let NodeKind::Const {
+                let NodeKind::Const {
                     in_left, in_right, ..
                 } = &mut self.kinds[id as usize]
-                {
-                    match side {
-                        Side::Left => *in_left = true,
-                        Side::Right => *in_right = true,
-                    }
-                }
+                else {
+                    unreachable!("constant symbols map to constant nodes");
+                };
+                let flag = match side {
+                    Side::Left => in_left,
+                    Side::Right => in_right,
+                };
+                (!std::mem::replace(flag, true)).then_some(id)
             }
             Value::Null(null) => {
                 let map = match side {
                     Side::Left => &mut self.left_nulls,
                     Side::Right => &mut self.right_nulls,
                 };
-                if let std::collections::hash_map::Entry::Vacant(e) = map.entry(null) {
-                    let id = self.kinds.len() as NodeId;
-                    self.kinds.push(NodeKind::Null { null, side });
-                    e.insert(id);
+                match map.entry(null) {
+                    Entry::Vacant(e) => {
+                        let id = self.kinds.len() as NodeId;
+                        self.kinds.push(NodeKind::Null { null, side });
+                        e.insert(id);
+                        Some(id)
+                    }
+                    Entry::Occupied(_) => None,
                 }
             }
+        };
+        if let Some(id) = first_on_side {
+            match side {
+                Side::Left => self.left_values.push((v, id)),
+                Side::Right => self.right_values.push((v, id)),
+            }
+        }
+    }
+
+    /// The distinct values occurring on `side` with their nodes, in the
+    /// order [`Universe::build`] first met them (the instance's `iter_all`
+    /// cell order).
+    pub fn values(&self, side: Side) -> &[(Value, NodeId)] {
+        match side {
+            Side::Left => &self.left_values,
+            Side::Right => &self.right_values,
         }
     }
 

@@ -37,7 +37,7 @@ pub fn missing_rows(solution: &Instance, gold: &Instance, catalog: &Catalog) -> 
         if gold.tuples(rel).is_empty() {
             continue;
         }
-        let index = CandidateIndex::build(solution, rel);
+        let index = CandidateIndex::build(solution, rel, |_| true);
         for t in gold.tuples(rel) {
             if index.c_compatible_candidates(solution, t).is_empty() {
                 missing += 1;

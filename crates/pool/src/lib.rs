@@ -82,9 +82,16 @@ pub const THREADS_ENV: &str = "IC_POOL_THREADS";
 /// Upper bound on pool workers, a backstop against absurd env values.
 const MAX_WORKERS: usize = 64;
 
-/// A type-erased unit of work. Lifetimes are erased by [`Scope::spawn`];
-/// soundness comes from [`scope`] joining before its borrows expire.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A type-erased unit of work, tagged with the scope that spawned it.
+/// Lifetimes are erased by [`Scope::spawn`]; soundness comes from [`scope`]
+/// joining before its borrows expire.
+struct Job {
+    /// Address of the spawning scope's [`ScopeState`]. Every queued job
+    /// holds an `Arc` to that state, so the address cannot be reused by
+    /// another scope while a job tagged with it is still queued.
+    scope: usize,
+    run: Box<dyn FnOnce() + Send + 'static>,
+}
 
 // ---------------------------------------------------------------------------
 // Thread-count resolution
@@ -178,7 +185,7 @@ struct Pool {
     worker_stats: Vec<WorkerCounters>,
     /// Jobs injected into worker deques (scope spawns that did not run inline).
     injected: AtomicU64,
-    /// Jobs executed by scope-calling threads helping drain (`find_job(None)`).
+    /// Jobs executed by scope-calling threads draining their own scope.
     helper_tasks: AtomicU64,
 }
 
@@ -210,7 +217,8 @@ pub struct PoolStats {
     pub live_workers: usize,
     /// Jobs injected into worker deques since process start.
     pub injected: u64,
-    /// Jobs executed inline by scope-calling threads helping drain.
+    /// Jobs executed inline by scope-calling threads draining their own
+    /// scope.
     pub helper_tasks: u64,
     /// Per-worker counters for the live workers.
     pub workers: Vec<WorkerStats>,
@@ -322,34 +330,40 @@ impl Pool {
         Ok(())
     }
 
-    /// Takes one job: own deque from the back (if `own` is a worker index),
-    /// then steals from the front of every live sibling deque.
-    fn find_job(&self, own: Option<usize>) -> Option<Job> {
-        if let Some(i) = own {
-            if let Some(job) = self.queues[i].jobs.lock().unwrap().pop_back() {
-                self.worker_stats[i].tasks.fetch_add(1, Ordering::Relaxed);
+    /// Takes one job for worker `own`: its own deque from the back, then
+    /// steals from the front of every live sibling deque.
+    fn find_job(&self, own: usize) -> Option<Job> {
+        let w = &self.worker_stats[own];
+        if let Some(job) = self.queues[own].jobs.lock().unwrap().pop_back() {
+            w.tasks.fetch_add(1, Ordering::Relaxed);
+            return Some(job);
+        }
+        let live = self.live.load(Ordering::Acquire);
+        for off in 1..live {
+            let j = (own + off) % live;
+            if let Some(job) = self.queues[j].jobs.lock().unwrap().pop_front() {
+                w.tasks.fetch_add(1, Ordering::Relaxed);
+                w.steals.fetch_add(1, Ordering::Relaxed);
                 return Some(job);
             }
         }
+        None
+    }
+
+    /// Takes a queued job spawned by `scope` from any deque, front first. A
+    /// draining caller runs only its own scope's jobs: a foreign job may
+    /// block for arbitrarily long (a server loop, or a task waiting on the
+    /// very scope being drained) and would stall or deadlock the drain,
+    /// and it would run inside the caller's observation context.
+    fn find_scope_job(&self, scope: usize) -> Option<Job> {
         let live = self.live.load(Ordering::Acquire);
-        let start = own.map_or(0, |i| i + 1);
-        for off in 0..live {
-            let j = (start + off) % live.max(1);
-            if Some(j) == own {
-                continue;
-            }
-            if let Some(job) = self.queues[j].jobs.lock().unwrap().pop_front() {
-                match own {
-                    Some(i) => {
-                        let w = &self.worker_stats[i];
-                        w.tasks.fetch_add(1, Ordering::Relaxed);
-                        w.steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => {
-                        self.helper_tasks.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                return Some(job);
+        for queue in &self.queues[..live] {
+            let mut jobs = queue.jobs.lock().unwrap();
+            if let Some(pos) = jobs.iter().position(|job| job.scope == scope) {
+                let job = jobs.remove(pos);
+                drop(jobs);
+                self.helper_tasks.fetch_add(1, Ordering::Relaxed);
+                return job;
             }
         }
         None
@@ -360,16 +374,16 @@ fn worker_loop(idx: usize) {
     IN_POOL.with(|f| f.set(true));
     let pool = pool();
     loop {
-        if let Some(job) = pool.find_job(Some(idx)) {
-            job();
+        if let Some(job) = pool.find_job(idx) {
+            (job.run)();
             continue;
         }
         let guard = pool.idle.lock().unwrap();
         // Recheck under the idle lock: an injector that pushed before we
         // acquired it is now ordered before this check.
-        if let Some(job) = pool.find_job(Some(idx)) {
+        if let Some(job) = pool.find_job(idx) {
             drop(guard);
-            job();
+            (job.run)();
             continue;
         }
         // The timeout is a backstop only; wakeups arrive via notify_all.
@@ -422,8 +436,9 @@ impl<'scope> Scope<'scope> {
         }
         let ctx = obs::task_ctx();
         *self.state.pending.lock().unwrap() += 1;
+        let scope = Arc::as_ptr(&self.state) as usize;
         let state = Arc::clone(&self.state);
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
+        let run: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
             let result = catch_unwind(AssertUnwindSafe(|| ctx.run(f)));
             if let Err(payload) = result {
                 let mut slot = state.panic.lock().unwrap();
@@ -439,19 +454,22 @@ impl<'scope> Scope<'scope> {
         // `'scope` borrows captured by the job strictly outlive its
         // execution; erasing the lifetime is therefore sound. The job is
         // never leaked: it either runs on a worker or inline below.
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(job)
+        let run = unsafe {
+            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(run)
         };
-        if let Err(job) = pool().inject(job) {
-            job(); // no live worker: degrade to inline execution
+        if let Err(job) = pool().inject(Job { scope, run }) {
+            (job.run)(); // no live worker: degrade to inline execution
         }
     }
 }
 
 /// Creates a scope in which borrowing tasks can be spawned, and blocks
 /// until all of them completed. The calling thread *helps*: while waiting
-/// it steals and runs pool jobs, so `scope` on an `n`-thread configuration
-/// reaches `n`-way parallelism with `n - 1` workers.
+/// it takes this scope's still-queued jobs and runs them, so `scope` on an
+/// `n`-thread configuration reaches `n`-way parallelism with `n - 1`
+/// workers. It never runs another scope's jobs, so a drain cannot be
+/// stalled by foreign work, and once no job of its own is queued it
+/// sleeps until the last running one signals completion.
 ///
 /// If a task panicked, the panic is re-thrown here after all tasks of the
 /// scope finished (the first payload wins). A panic in `f` itself is
@@ -482,26 +500,17 @@ pub fn scope<'scope, R>(f: impl FnOnce(&Scope<'scope>) -> R) -> R {
     };
     let result = catch_unwind(AssertUnwindSafe(|| f(&sc)));
 
-    // Drain: help with pool work while our tasks are in flight.
+    // Drain: run our own queued jobs, then wait for the ones in flight.
+    // Spawning ended with `f`, so once none is queued none can reappear.
     if !sequential {
         let p = pool();
-        loop {
-            if *sc.state.pending.lock().unwrap() == 0 {
-                break;
-            }
-            if let Some(job) = p.find_job(None) {
-                job();
-                continue;
-            }
-            let guard = sc.state.pending.lock().unwrap();
-            if *guard == 0 {
-                break;
-            }
-            let _ = sc
-                .state
-                .done
-                .wait_timeout(guard, Duration::from_millis(1))
-                .unwrap();
+        let id = Arc::as_ptr(&sc.state) as usize;
+        while let Some(job) = p.find_scope_job(id) {
+            (job.run)();
+        }
+        let mut pending = sc.state.pending.lock().unwrap();
+        while *pending > 0 {
+            pending = sc.state.done.wait(pending).unwrap();
         }
     }
 
@@ -753,6 +762,87 @@ mod tests {
         assert_eq!(r.counter("pool.scopes"), Some(1));
         // pool.* metrics are flagged as non-deterministic.
         assert!(r.deterministic_metrics().keys().all(|&n| n == "task.items"));
+    }
+
+    /// A draining scope runs only its own jobs. Here a foreign scope queues
+    /// more tasks than there can be workers, each blocking until the test's
+    /// scope has finished. Once every worker and the foreign caller sit in
+    /// one, the rest stay queued ahead of the test's own jobs; were the
+    /// test's drain to take one, the two scopes would wait on each other
+    /// until the foreign task's timeout.
+    #[test]
+    fn drain_never_runs_foreign_jobs() {
+        struct Gate {
+            started: usize,
+            released: bool,
+            stalled: usize,
+        }
+        const FOREIGN: usize = MAX_WORKERS + 16;
+        const PATIENCE: Duration = Duration::from_secs(10);
+        let gate = Arc::new((
+            Mutex::new(Gate {
+                started: 0,
+                released: false,
+                stalled: 0,
+            }),
+            Condvar::new(),
+        ));
+        let foreign = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                with_threads(2, || {
+                    scope(|s| {
+                        for _ in 0..FOREIGN {
+                            let gate = &gate;
+                            s.spawn(move || {
+                                let (lock, cv) = &**gate;
+                                let mut g = lock.lock().unwrap();
+                                g.started += 1;
+                                cv.notify_all();
+                                let (mut g, wait) =
+                                    cv.wait_timeout_while(g, PATIENCE, |g| !g.released).unwrap();
+                                if wait.timed_out() {
+                                    g.stalled += 1;
+                                }
+                            });
+                        }
+                    })
+                })
+            })
+        };
+        let (lock, cv) = &*gate;
+        let busy = cv
+            .wait_timeout_while(lock.lock().unwrap(), PATIENCE, |g| {
+                g.started < pool_stats().live_workers + 1
+            })
+            .unwrap();
+        assert!(!busy.1.timed_out(), "workers never all took a foreign task");
+        drop(busy);
+
+        let ran = AtomicU64::new(0);
+        with_threads(2, || {
+            scope(|s| {
+                for _ in 0..8 {
+                    let ran = &ran;
+                    s.spawn(move || {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+            })
+        });
+        let stalled_before_release = {
+            let mut g = lock.lock().unwrap();
+            g.released = true;
+            cv.notify_all();
+            g.stalled
+        };
+        foreign.join().unwrap();
+        assert_eq!(ran.load(Ordering::SeqCst), 8);
+        assert_eq!(
+            stalled_before_release, 0,
+            "the test's scope ran a foreign task and blocked on it"
+        );
+        assert_eq!(lock.lock().unwrap().stalled, 0);
     }
 
     #[test]

@@ -184,8 +184,11 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<CatalogState, StoreError> {
     }
     catalog.advance_nulls(r.u32()?);
 
-    let count = r.u32()?;
-    let mut instances = Vec::with_capacity(count as usize);
+    let count = r.u32()? as usize;
+    if count > r.remaining() / MIN_INSTANCE_BYTES {
+        return Err(corrupt("instance count exceeds remaining bytes"));
+    }
+    let mut instances = Vec::with_capacity(count);
     for _ in 0..count {
         let instance = decode_instance(&mut r, &catalog)?;
         instances.push((instance.name().to_string(), instance));
@@ -199,6 +202,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<CatalogState, StoreError> {
         instances,
     })
 }
+
+/// Smallest encoded instance block: name length, relation count and id
+/// bound, with an empty name and no relations.
+const MIN_INSTANCE_BYTES: usize = 4 + 4 + 8;
 
 /// Encodes one instance as a columnar block (shared with WAL `Put`
 /// records).
@@ -254,6 +261,14 @@ pub(crate) fn decode_instance(
         let count = r.u64()? as usize;
         if count > r.remaining() / 4 {
             return Err(corrupt("tuple count exceeds remaining bytes"));
+        }
+        // Each column holds a tag bitmap plus one u32 per tuple; the
+        // encoder writes arity 0 for an empty relation.
+        let column_bytes = count.div_ceil(8) + 4 * count;
+        if arity > 0
+            && (count == 0 || arity > r.remaining().saturating_sub(4 * count) / column_bytes)
+        {
+            return Err(corrupt("relation arity exceeds remaining bytes"));
         }
         let ids: Vec<u32> = (0..count).map(|_| r.u32()).collect::<Result<_, _>>()?;
         let mut columns: Vec<Vec<Value>> = Vec::with_capacity(arity);
@@ -383,6 +398,54 @@ mod tests {
             assert!(
                 decode_snapshot(&bytes[..cut]).is_err(),
                 "prefix of {cut} bytes must not decode"
+            );
+        }
+    }
+
+    /// Recomputes the checksum after a payload edit, as a buggy or hostile
+    /// writer would, so the decoder sees a CRC-valid file.
+    fn reseal(bytes: &mut [u8]) {
+        let crc = crc32(&bytes[24..]);
+        bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    fn put_u32_at(bytes: &mut [u8], at: usize, v: u32) {
+        bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    #[test]
+    fn huge_instance_count_is_corrupt_not_an_abort() {
+        let cat = Catalog::new(Schema::single("R", &["A"]));
+        let mut bytes = encode_snapshot(0, &cat, std::iter::empty());
+        // The instance count is the payload's last field.
+        let at = bytes.len() - 4;
+        put_u32_at(&mut bytes, at, u32::MAX);
+        reseal(&mut bytes);
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(StoreError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn huge_relation_arity_is_corrupt_not_an_abort() {
+        let mut cat = Catalog::new(Schema::single("R", &["A"]));
+        let empty = Instance::new("e", &cat);
+        let mut one = Instance::new("o", &cat);
+        let a = cat.konst("a");
+        one.insert(RelId(0), vec![a]);
+        // Block tails: arity u32, count u64, then per tuple an id u32 and
+        // per column a tag byte and a u32 value.
+        for (inst, arity_from_end) in [(&empty, 12), (&one, 12 + 4 + 1 + 4)] {
+            let mut bytes = encode_snapshot(0, &cat, [(inst.name(), inst)]);
+            decode_snapshot(&bytes).unwrap();
+            let at = bytes.len() - arity_from_end;
+            put_u32_at(&mut bytes, at, u32::MAX);
+            reseal(&mut bytes);
+            assert!(
+                matches!(decode_snapshot(&bytes), Err(StoreError::Corrupt(_))),
+                "instance {:?}",
+                inst.name()
             );
         }
     }

@@ -20,6 +20,21 @@ cargo test -q --offline
 echo "==> cargo test -q --offline (IC_POOL_THREADS=1)"
 IC_POOL_THREADS=1 cargo test -q --offline -p ic-core -p ic-pool
 
+# A scope's drain must run only its own jobs: stealing a foreign job once
+# hung the serve e2e suite and misattributed obs counters, one run in a
+# few. Repeat the pool suite so such a scheduling race shows up here.
+echo "==> ic-pool suite x20 (default thread pool and IC_POOL_THREADS=1)"
+# An empty IC_POOL_THREADS means the default pool size.
+for i in $(seq 20); do
+    for threads in "" 1; do
+        if ! out=$(IC_POOL_THREADS=$threads cargo test -q --offline -p ic-pool --lib 2>&1); then
+            echo "$out"
+            echo "ic-pool suite failed on repeat $i (IC_POOL_THREADS=${threads:-default})"
+            exit 1
+        fi
+    done
+done
+
 # The incremental delta re-scoring path must be bit-identical to
 # from-scratch comparison under both pool configurations (the property
 # suite also pins this internally at 1 and 4 comparator threads).
