@@ -1,9 +1,7 @@
 //! The crate-wide error type.
 //!
-//! Earlier revisions exposed only [`ConfigError`] and forced every fallible
-//! entry point to grow its own `_checked` twin. The [`Comparator`] facade
-//! consolidates validation behind one constructor, and this module gives it
-//! (and the deprecated `_checked` wrappers) a single error enum to return.
+//! The [`Comparator`] facade validates configuration once, at build, and
+//! returns this one enum for configuration, schema and budget failures.
 //!
 //! [`Comparator`]: crate::comparator::Comparator
 

@@ -4,12 +4,9 @@
 //! algorithm realizes the maximum (NP-hard, Thm. 5.11); the signature
 //! algorithm approximates it greedily in PTIME.
 
-use crate::exact::{exact_match, ExactConfig, ExactOutcome};
 use crate::explain::{explain, InstanceDiff};
-use crate::priors::MatchPriors;
 use crate::signature::{
-    signature_match, signature_match_prioritized, signature_match_seeded, InstanceSigMaps,
-    SignatureConfig, SignatureOutcome,
+    signature_match, signature_match_seeded, InstanceSigMaps, SignatureConfig, SignatureOutcome,
 };
 use ic_model::{Catalog, Instance, Value};
 
@@ -67,31 +64,6 @@ pub fn compare_seeded(
     Comparison { outcome, diff }
 }
 
-/// [`compare_seeded`] with an optional [`MatchPriors`] hint: discovered
-/// approximate keys refine the signature completion's candidate ordering
-/// via [`signature_match_prioritized`]. The score contract holds — the
-/// returned score is bit-identical to [`compare`] — and with `None` or
-/// empty priors the call is byte-identical (single run) to
-/// [`compare_seeded`].
-pub fn compare_prioritized(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-    left_maps: Option<&InstanceSigMaps>,
-    right_maps: Option<&InstanceSigMaps>,
-    priors: Option<&MatchPriors>,
-) -> Comparison {
-    let _span = crate::obs::span("compare");
-    let outcome =
-        signature_match_prioritized(left, right, catalog, cfg, left_maps, right_maps, priors);
-    let diff = {
-        let _span = crate::obs::span("compare.explain");
-        explain(&outcome.best, left, right)
-    };
-    Comparison { outcome, diff }
-}
-
 /// Batch variant of [`compare`]: scores many instance pairs concurrently on
 /// the [`ic_pool`] workers, one comparison per pair, preserving input order.
 ///
@@ -115,80 +87,6 @@ pub fn compare_many(
         let _span = crate::obs::span("compare.pair");
         compare(left, right, catalog, cfg)
     })
-}
-
-/// [`compare_many`] with an optional [`MatchPriors`] hint applied to every
-/// pair (see [`compare_prioritized`]). With `None` or empty priors this is
-/// byte-identical to [`compare_many`]; scores are always bit-identical to
-/// it either way.
-pub fn compare_many_prioritized(
-    pairs: &[(&Instance, &Instance)],
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-    priors: Option<&MatchPriors>,
-) -> Vec<Comparison> {
-    let Some(priors) = priors.filter(|p| !p.is_empty()) else {
-        return compare_many(pairs, catalog, cfg);
-    };
-    let _span = crate::obs::span("compare_many");
-    crate::obs::counter("compare_many.pairs", pairs.len() as u64);
-    ic_pool::par_map(pairs, |&(left, right)| {
-        let _span = crate::obs::span("compare.pair");
-        compare_prioritized(left, right, catalog, cfg, None, None, Some(priors))
-    })
-}
-
-/// Like [`compare_many`] but validates the scoring configuration once up
-/// front instead of risking a degenerate run on every pair.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Comparator::new(catalog).build()?.compare_many(..)`, which validates once at build"
-)]
-pub fn compare_many_checked(
-    pairs: &[(&Instance, &Instance)],
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-) -> Result<Vec<Comparison>, crate::Error> {
-    cfg.score.validate().map_err(crate::Error::Config)?;
-    Ok(compare_many(pairs, catalog, cfg))
-}
-
-/// Computes the similarity of two instances with the exact algorithm under
-/// the given configuration. See [`exact_match`] for the full outcome.
-pub fn similarity_exact(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    cfg: &ExactConfig,
-) -> f64 {
-    exact_match(left, right, catalog, cfg).best.score()
-}
-
-/// Computes the similarity of two instances with the signature algorithm.
-/// See [`signature_match`] for the full outcome.
-pub fn similarity_signature(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    cfg: &SignatureConfig,
-) -> f64 {
-    signature_match(left, right, catalog, cfg).best.score()
-}
-
-/// Both algorithms on the same inputs — convenience for evaluations that
-/// report the pair (exact, signature).
-pub fn compare_both(
-    left: &Instance,
-    right: &Instance,
-    catalog: &Catalog,
-    exact_cfg: &ExactConfig,
-    sig_cfg: &SignatureConfig,
-) -> (ExactOutcome, SignatureOutcome) {
-    (
-        exact_match(left, right, catalog, exact_cfg),
-        signature_match(left, right, catalog, sig_cfg),
-    )
 }
 
 /// The normalized symmetric-difference similarity for **ground** instances
@@ -230,7 +128,7 @@ pub fn symmetric_difference_similarity(left: &Instance, right: &Instance) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::MatchMode;
+    use crate::exact::{exact_match, ExactConfig};
     use ic_model::{RelId, Schema};
 
     const EPS: f64 = 1e-9;
@@ -245,8 +143,12 @@ mod tests {
         l.insert(rel, vec![a, b]);
         l.insert(rel, vec![b, n]);
         let r = l.clone();
-        let e = similarity_exact(&l, &r, &cat, &ExactConfig::default());
-        let s = similarity_signature(&l, &r, &cat, &SignatureConfig::default());
+        let e = exact_match(&l, &r, &cat, &ExactConfig::default())
+            .best
+            .score();
+        let s = signature_match(&l, &r, &cat, &SignatureConfig::default())
+            .best
+            .score();
         assert!((e - s).abs() < EPS);
         assert!((e - 1.0).abs() < EPS);
     }
@@ -266,8 +168,12 @@ mod tests {
             l.insert(rel, vec![consts[i], n]);
             r.insert(rel, vec![consts[(i + 1) % 4], m]);
         }
-        let e = similarity_exact(&l, &r, &cat, &ExactConfig::default());
-        let s = similarity_signature(&l, &r, &cat, &SignatureConfig::default());
+        let e = exact_match(&l, &r, &cat, &ExactConfig::default())
+            .best
+            .score();
+        let s = signature_match(&l, &r, &cat, &SignatureConfig::default())
+            .best
+            .score();
         assert!(s <= e + EPS, "signature {s} exceeds exact {e}");
     }
 
@@ -298,7 +204,9 @@ mod tests {
         let mut r = Instance::new("J", &cat);
         r.insert(rel, vec![n2]);
         assert_eq!(symmetric_difference_similarity(&l, &r), 0.0);
-        let s = similarity_exact(&l, &r, &cat, &ExactConfig::default());
+        let s = exact_match(&l, &r, &cat, &ExactConfig::default())
+            .best
+            .score();
         assert!((s - 1.0).abs() < EPS);
     }
 
@@ -364,42 +272,5 @@ mod tests {
         }
         // Empty input short-circuits.
         assert!(compare_many(&[], &cat, &cfg).is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn compare_many_checked_rejects_bad_lambda() {
-        let cat = Catalog::new(Schema::single("R", &["A"]));
-        let cfg = SignatureConfig {
-            score: crate::score::ScoreConfig {
-                lambda: -1.0,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        assert!(compare_many_checked(&[], &cat, &cfg).is_err());
-        assert!(compare_many_checked(&[], &cat, &SignatureConfig::default()).is_ok());
-    }
-
-    #[test]
-    fn compare_both_returns_consistent_outcomes() {
-        let mut cat = Catalog::new(Schema::single("R", &["A"]));
-        let rel = RelId(0);
-        let a = cat.konst("a");
-        let mut l = Instance::new("I", &cat);
-        l.insert(rel, vec![a]);
-        let r = l.clone();
-        let (e, s) = compare_both(
-            &l,
-            &r,
-            &cat,
-            &ExactConfig {
-                mode: MatchMode::one_to_one(),
-                ..Default::default()
-            },
-            &SignatureConfig::default(),
-        );
-        assert!(e.optimal);
-        assert!((e.best.score() - s.best.score()).abs() < EPS);
     }
 }

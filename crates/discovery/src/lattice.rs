@@ -21,8 +21,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WorldGate {
     /// Gate on `g3_min`: report constraints that hold approximately in
-    /// *some* world (the optimistic reading — the default, matching how
-    /// priors are consumed: a key that possibly holds is a useful hint).
+    /// *some* world (the optimistic reading — the default).
     #[default]
     Possible,
     /// Gate on `g3_max`: report constraints that hold approximately in
@@ -41,8 +40,9 @@ pub struct DiscoveryConfig {
     /// relation, so keep this small (2–3) on wide relations.
     pub max_lhs: usize,
     /// Support floor: an FD needs one LHS group of at least this many
-    /// tuples (mirroring `ic-cleaning`'s `discover_unit_fds`); a key needs
-    /// at least this many tuples that are null-free on the key attributes.
+    /// tuples, which filters out key-like LHS columns whose groups are all
+    /// singletons; a key needs at least this many tuples that are
+    /// null-free on the key attributes.
     pub min_support: usize,
     /// Which world bound gates candidates against [`Self::epsilon`].
     pub gate: WorldGate,

@@ -270,7 +270,9 @@ fn decode_payload(payload: &[u8], catalog_for_put: &Catalog) -> Result<WalRecord
         },
         TAG_PATCH => {
             let nops = r.u32()?;
-            let mut ops = Vec::with_capacity(nops.min(1 << 20) as usize);
+            // Every op takes at least its tag byte, so the bytes left bound
+            // the count a well-formed record can hold.
+            let mut ops = Vec::with_capacity((nops as usize).min(r.remaining()));
             for _ in 0..nops {
                 let op = match r.u8()? {
                     OP_INSERT => {

@@ -11,6 +11,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+# The benchmark is a package of its own outside the workspace, so the
+# workspace build and tests never compile it: build it here so that a
+# change to a public item it uses fails CI.
+echo "==> cargo build --release --offline (perfbench)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --offline (default thread pool)"
 cargo test -q --offline
 
@@ -109,9 +115,8 @@ test -f target/ic-bench/BENCH_serve.json
 echo "    wrote target/ic-bench/BENCH_serve.json"
 
 # Constraint discovery (DESIGN.md §12): possible-world g3 intervals,
-# classical-g3 collapse on null-free data, bit-identical lattice output
-# at both pool thread counts, and the prior contract (discovered keys
-# never move a similarity score).
+# classical-g3 collapse on null-free data, and bit-identical lattice
+# output at both pool thread counts.
 echo "==> discovery property suite (default thread pool)"
 cargo test -q --offline --test discovery_props
 echo "==> discovery property suite (IC_POOL_THREADS=1)"
